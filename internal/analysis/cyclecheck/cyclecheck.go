@@ -11,7 +11,7 @@
 //
 //   - //catcam:cycle-state on a struct field marks storage whose
 //     mutation represents a modeled hardware access (sram rows,
-//     ternary entry words, validity mask, bit-sliced planes);
+//     ternary entry words, validity mask, knock-out table);
 //   - //catcam:mutator on a method marks it as mutating its receiver
 //     (bitvec.Vector.Set, ternary.Word.SetBit, ...). Mutator marks
 //     are exported as facts, so a method in sram calling

@@ -14,7 +14,7 @@ import (
 // the hotpath analyzer against the real kernel sources: it copies the
 // bitvec/ternary/sram packages (annotations included) into a scratch
 // module, verifies they analyze clean, then injects an allocation into
-// bitvec.LoadWords — the hand-off SearchInto's bit-sliced kernel ends
+// bitvec.LoadWords — the hand-off SearchInto's match kernel ends
 // on — and verifies the analyzer rejects it through the transitive
 // call graph. This proves the //catcam:hotpath guarantee on SearchInto
 // is live, not vacuously green.

@@ -50,8 +50,8 @@ func (v *Vector) Words() []uint64 { return v.words }
 
 // LoadWords overwrites v's bits from a raw word slice of exactly the
 // backing length, re-establishing the canonical form (tail bits beyond
-// Len are cleared). This is the hand-off point from the bit-sliced
-// match kernel, which accumulates into a scratch []uint64 and deposits
+// Len are cleared). This is the hand-off point from the match
+// kernel, which accumulates into a scratch []uint64 and deposits
 // the result into a caller-owned vector without allocating.
 //
 //catcam:mutator

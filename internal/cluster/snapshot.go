@@ -74,7 +74,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // Restore builds a cluster from a snapshot: same partition mode and
 // bounds, every rule reloaded into the shard that held it at dump
 // time. The per-shard reloads are plain device inserts, so all derived
-// state (subtable intervals, priority matrices, bit planes) is rebuilt
+// state (subtable intervals, priority matrices, match tables) is rebuilt
 // rather than trusted from the dump.
 func Restore(s *Snapshot) (*Cluster, error) {
 	mode, err := ParseMode(s.Mode)

@@ -354,9 +354,12 @@ func (d *Device) padKeyScratch(k ternary.Key) ternary.Key {
 func (d *Device) LookupKey(k ternary.Key) (Entry, bool) {
 	s := d.snap.Load()
 	sc := d.getScratch()
-	e, _, ok := s.lookup(sc, s.padKey(sc, k), nil, 0, false)
+	sc.stage(1, s.cfg.KeyWidth)
+	s.stageKey(sc, 0, k)
+	s.lookupBatch(sc, 1, nil, 0, false)
+	r := sc.res[0]
 	d.putScratch(sc, s)
-	return e, ok
+	return s.entry(r)
 }
 
 // lookupLocked is the legacy mutex-serialized lookup core, retained as
@@ -446,23 +449,33 @@ type LookupResult struct {
 // call allocation-free at steady state. The epoch snapshot is loaded
 // once and the scratch checked out once for the batch, which amortizes
 // the pool round-trip and stats flush across high-rate traffic the way
-// the hardware pipeline amortizes its fill latency; concurrent batches
-// proceed in parallel, never serializing on a lock.
+// the hardware pipeline amortizes its fill latency; the batch core
+// searches the keys subtable by subtable (see lookupBatch). Concurrent
+// batches proceed in parallel, never serializing on a lock.
 //
 //catcam:hotpath
 func (d *Device) LookupBatch(keys []ternary.Key, dst []LookupResult) []LookupResult {
 	s := d.snap.Load()
 	sc := d.getScratch()
-	for _, k := range keys {
-		e, _, ok := s.lookup(sc, s.padKey(sc, k), nil, 0, false)
-		dst = append(dst, LookupResult{Entry: e, OK: ok})
+	for len(keys) > 0 {
+		n := min(len(keys), batchTile)
+		sc.stage(n, s.cfg.KeyWidth)
+		for i, k := range keys[:n] {
+			s.stageKey(sc, i, k)
+		}
+		s.lookupBatch(sc, n, nil, 0, false)
+		for _, r := range sc.res[:n] {
+			e, ok := s.entry(r)
+			dst = append(dst, LookupResult{Entry: e, OK: ok})
+		}
+		keys = keys[n:]
 	}
 	d.putScratch(sc, s)
 	return dst
 }
 
 // LookupHeaderBatch is LookupBatch over packet headers: each header is
-// encoded into the scratch key and classified, with one result
+// encoded into a scratch key and the batch classified, with one result
 // appended to dst per header. Allocates nothing when dst has capacity;
 // safe for any number of concurrent callers.
 //
@@ -470,13 +483,22 @@ func (d *Device) LookupBatch(keys []ternary.Key, dst []LookupResult) []LookupRes
 func (d *Device) LookupHeaderBatch(hs []rules.Header, dst []LookupResult) []LookupResult {
 	s := d.snap.Load()
 	sc := d.getScratch()
-	for _, h := range hs {
-		rules.EncodeHeaderInto(&sc.encKey, h)
-		e, _, ok := s.lookup(sc, s.padKey(sc, sc.encKey), nil, 0, false)
-		if s.shadow.Sample() {
-			s.shadow.ObserveEpoch(h, e.Action, ok, s.epoch) //catcam:allow alloc "sampled shadow re-classification; rate-gated off the steady-state path"
+	for len(hs) > 0 {
+		n := min(len(hs), batchTile)
+		sc.stage(n, s.cfg.KeyWidth)
+		for i, h := range hs[:n] {
+			rules.EncodeHeaderInto(&sc.encKey, h)
+			s.stageKey(sc, i, sc.encKey)
 		}
-		dst = append(dst, LookupResult{Entry: e, OK: ok})
+		s.lookupBatch(sc, n, nil, 0, false)
+		for i, r := range sc.res[:n] {
+			e, ok := s.entry(r)
+			if s.shadow.Sample() {
+				s.shadow.ObserveEpoch(hs[i], e.Action, ok, s.epoch) //catcam:allow alloc "sampled shadow re-classification; rate-gated off the steady-state path"
+			}
+			dst = append(dst, LookupResult{Entry: e, OK: ok})
+		}
+		hs = hs[n:]
 	}
 	d.putScratch(sc, s)
 	return dst
@@ -489,8 +511,11 @@ func (d *Device) LookupHeaderBatch(hs []rules.Header, dst []LookupResult) []Look
 func (d *Device) Lookup(h rules.Header) (int, bool) {
 	s := d.snap.Load()
 	sc := d.getScratch()
+	sc.stage(1, s.cfg.KeyWidth)
 	rules.EncodeHeaderInto(&sc.encKey, h)
-	e, _, ok := s.lookup(sc, s.padKey(sc, sc.encKey), nil, 0, false)
+	s.stageKey(sc, 0, sc.encKey)
+	s.lookupBatch(sc, 1, nil, 0, false)
+	e, ok := s.entry(sc.res[0])
 	if s.shadow.Sample() {
 		s.shadow.ObserveEpoch(h, e.Action, ok, s.epoch) //catcam:allow alloc "sampled shadow re-classification; rate-gated off the steady-state path"
 	}

@@ -111,7 +111,7 @@ func (d *Device) auditEvictionBound(res UpdateResult) {
 
 // AuditSweep runs one background audit pass over the whole device and
 // records it on the attached auditor: per-subtable priority-matrix
-// consistency (InvPriorityMatrix) and bit-plane/scalar search parity
+// consistency (InvPriorityMatrix) and match-table/scalar search parity
 // (InvBitPlaneParity), then global interval disjointness, matrix
 // encoding and locator consistency (InvIntervalDisjoint). The device
 // lock is taken per subtable rather than across the sweep, so lookups
@@ -145,7 +145,7 @@ func (d *Device) AuditSweep() flightrec.SweepInfo {
 }
 
 // sweepSubtable audits one subtable under d.mu: the priority matrix
-// agrees with the stored ranks, the bit-sliced match planes agree with
+// agrees with the stored ranks, the knock-out match table agrees with
 // the row-major words, and one canonical probe key returns the same
 // match vector from both search kernels.
 func (d *Device) sweepSubtable(st *Subtable) {

@@ -18,7 +18,7 @@ import (
 //
 // The scheme is RCU-shaped. Updates — which already serialize on d.mu —
 // mutate the live arrays as before, then build an immutable snapshot of
-// everything a lookup reads (bit-sliced match planes, per-subtable
+// everything a lookup reads (knock-out match tables, per-subtable
 // priority rows and rank metadata, the global relation matrix, the
 // interval order) and publish it with a single d.snap.Store. Lookups
 // load the pointer once and traverse the frozen structure with no lock
@@ -216,20 +216,28 @@ func (d *Device) Epoch() uint64 {
 }
 
 // readScratch is one goroutine's private lookup working set, pooled in
-// d.readPool: the buffers lookupScratch provides on the legacy locked
-// path, plus the kernel accumulator the shared views cannot own and
-// the batch-local accounting that is flushed to device atomics when
-// the scratch is returned.
+// d.readPool: the batch core's per-key vectors, the kernel accumulator
+// the shared views cannot own, and the batch-local accounting that is
+// flushed to device atomics when the scratch is returned.
 //
 //catcam:scratch
 type readScratch struct {
-	encKey      ternary.Key
-	padKey      ternary.Key
-	globalMatch *bitvec.Vector
-	report      *bitvec.Vector   // global priority report
-	localReport *bitvec.Vector   // winning subtable's report
-	locals      []*bitvec.Vector // per-subtable match vectors, by id
-	acc         []uint64         // bit-sliced kernel accumulator
+	encKey      ternary.Key    // header-encode buffer (rules.TupleBits wide)
+	globalMatch *bitvec.Vector // the deciding key's global match vector
+	report      *bitvec.Vector // global priority report
+	localMatch  *bitvec.Vector // the winning subtable's match vector
+	localReport *bitvec.Vector // winning subtable's report
+	acc         []uint64       // knock-out kernel accumulator
+
+	// Per-key state of the current tile, grown on demand up to
+	// batchTile keys: the device-wide search keys, each key's global
+	// match words, and the match words and ID of the highest-interval
+	// subtable that matched it (the metadata winner; -1 on a miss).
+	keys     []ternary.Key
+	keyGlobs []uint64
+	keyLocal []uint64
+	keySub   []int
+	res      []keyResult
 
 	// Batch-local accounting: accumulated per lookup without
 	// synchronization, flushed once per batch (putScratch) into the
@@ -242,16 +250,54 @@ type readScratch struct {
 	global       sram.Stats // the global priority matrix
 }
 
+// keyResult is one key's outcome from the batch core: the winning
+// subtable and slot, sub -1 on a miss.
+type keyResult struct {
+	sub, slot int
+}
+
+// entry reads the winning entry's metadata out of the snapshot.
+func (s *snapshot) entry(r keyResult) (Entry, bool) {
+	if r.sub < 0 {
+		return Entry{}, false
+	}
+	sv := s.subs[r.sub]
+	return Entry{Rank: sv.ranks[r.slot], Action: sv.actions[r.slot]}, true
+}
+
+// batchTile bounds how many keys the batch core searches per walk of
+// the subtable order. Longer batches run as consecutive tiles, so a
+// pooled scratch never grows past batchTile keys; 64 keys already
+// amortize each view's cache fill far below the kernel's own cost.
+const batchTile = 64
+
 func (d *Device) newReadScratch() *readScratch {
 	d.churn.scratchAllocs.Add(1)
 	return &readScratch{
 		encKey:      ternary.NewKey(rules.TupleBits),
-		padKey:      ternary.NewKey(d.cfg.KeyWidth),
 		globalMatch: bitvec.New(d.cfg.Subtables),
 		report:      bitvec.New(d.cfg.Subtables),
+		localMatch:  bitvec.New(d.cfg.SubtableCapacity),
 		localReport: bitvec.New(d.cfg.SubtableCapacity),
-		locals:      make([]*bitvec.Vector, d.cfg.Subtables),
 		acc:         make([]uint64, (d.cfg.SubtableCapacity+63)/64),
+	}
+}
+
+// stage sizes the scratch's per-key state for an n-key tile (n <=
+// batchTile), growing it on first use.
+//
+//catcam:hotpath
+func (sc *readScratch) stage(n, keyWidth int) {
+	for len(sc.keys) < n {
+		sc.keys = append(sc.keys, ternary.NewKey(keyWidth)) //catcam:allow alloc "one-time growth of a pooled scratch up to batchTile keys; steady state reuses it"
+		sc.keySub = append(sc.keySub, -1)                   //catcam:allow alloc "one-time growth of a pooled scratch up to batchTile keys; steady state reuses it"
+		sc.res = append(sc.res, keyResult{})                //catcam:allow alloc "one-time growth of a pooled scratch up to batchTile keys; steady state reuses it"
+	}
+	if gw := len(sc.globalMatch.Words()); len(sc.keyGlobs) < n*gw {
+		sc.keyGlobs = make([]uint64, n*gw) //catcam:allow alloc "one-time growth of a pooled scratch up to batchTile keys; steady state reuses it"
+	}
+	if rw := len(sc.acc); len(sc.keyLocal) < n*rw {
+		sc.keyLocal = make([]uint64, n*rw) //catcam:allow alloc "one-time growth of a pooled scratch up to batchTile keys; steady state reuses it"
 	}
 }
 
@@ -284,66 +330,93 @@ func (d *Device) putScratch(sc *readScratch, s *snapshot) {
 	d.readPool.Put(sc) //catcam:allow alloc "sync.Pool return; boxing a pointer does not allocate at steady state"
 }
 
-// padKey widens a search key with trailing zeros into the scratch pad
-// buffer (no copy when the key is already device-wide).
-func (s *snapshot) padKey(sc *readScratch, k ternary.Key) ternary.Key {
-	if k.Width() == s.cfg.KeyWidth {
-		return k
-	}
+// stageKey loads k, widened with trailing zeros to the device width,
+// as key i of the current tile.
+//
+//catcam:hotpath
+func (s *snapshot) stageKey(sc *readScratch, i int, k ternary.Key) {
 	if k.Width() > s.cfg.KeyWidth {
 		panic(fmt.Sprintf("core: key width %d exceeds device width %d", k.Width(), s.cfg.KeyWidth))
 	}
-	sc.padKey.LoadPadded(k)
-	return sc.padKey
+	sc.keys[i].LoadPadded(k)
 }
 
-// lookup is the lock-free lookup core: lookupLocked's pipeline —
-// subtable search fan-out, global priority decision, local priority
-// decision, metadata readout — over the frozen snapshot, with all
-// working state in sc. It returns the winning entry and subtable ID
-// (-1 on miss). tr/keyIdx/focus carry the span layer's trace context;
-// tr is nil on every untraced lookup.
+// lookupBatch is the lock-free lookup core: subtable search fan-out,
+// global priority decision, local priority decision and metadata
+// readout over the frozen snapshot for the n keys staged in sc.keys,
+// leaving one keyResult per key in sc.res. It is subtable-major: it
+// walks s.order once and searches every key against each view while
+// that view's table is hot in cache, keeping per key only the global
+// match vector and the local vector of the highest-interval matched
+// subtable. The decisions then run key by key.
+//
+// tr/keyIdx/focus carry the span layer's trace context; tr is nil on
+// every untraced lookup, and traced batches call the core one key at a
+// time (n == 1), so a focus key's sram_kernel spans nest inside its
+// device_lookup span.
 //
 //catcam:hotpath
-func (s *snapshot) lookup(sc *readScratch, k ternary.Key, tr *tracepkg.Trace, keyIdx int, focus bool) (Entry, int, bool) {
-	sc.lookups++
-	sc.lookupCycles++
+func (s *snapshot) lookupBatch(sc *readScratch, n int, tr *tracepkg.Trace, keyIdx int, focus bool) {
+	sc.lookups += uint64(n)
+	sc.lookupCycles += uint64(n)
 
 	// traceKernel gates the per-subtable sram_kernel spans: only the
 	// traced batch's one focus key records them.
 	traceKernel := focus && tr != nil
 
-	globalMatch := sc.globalMatch
-	globalMatch.Reset()
+	gw, rw := len(sc.globalMatch.Words()), len(sc.acc)
+	globs, locals, subs := sc.keyGlobs[:n*gw], sc.keyLocal[:n*rw], sc.keySub[:n]
+	clear(globs)
+	for i := range subs {
+		subs[i] = -1
+	}
 	for _, id := range s.order {
-		mv := sc.locals[id]
-		if mv == nil {
-			mv = bitvec.New(s.cfg.SubtableCapacity) //catcam:allow alloc "one-time warm-up of a per-scratch subtable vector; steady state reuses it"
-			sc.locals[id] = mv
-		}
-		var kernelStart uint64
-		if traceKernel {
-			kernelStart = tracepkg.Nanos()
-		}
-		s.subs[id].match.SearchInto(mv, sc.acc, k, &sc.match)
-		if traceKernel {
-			//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
-			tr.Span(tracepkg.StageSRAMKernel, s.frTable, s.trShard, id, keyIdx, kernelStart, 1)
-		}
-		if mv.Any() {
-			globalMatch.Set(id)
+		view := s.subs[id].match
+		gi, gbit := id/64, uint64(1)<<(id%64)
+		for i, k := range sc.keys[:n] {
+			var kernelStart uint64
+			if traceKernel {
+				kernelStart = tracepkg.Nanos()
+			}
+			hit := view.Match(sc.acc, k, &sc.match)
+			if traceKernel {
+				//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
+				tr.Span(tracepkg.StageSRAMKernel, s.frTable, s.trShard, id, keyIdx, kernelStart, 1)
+			}
+			if hit {
+				globs[i*gw+gi] |= gbit
+				copy(locals[i*rw:(i+1)*rw], sc.acc)
+				subs[i] = id
+			}
 		}
 	}
-	if !globalMatch.Any() {
-		return Entry{}, -1, false
+	for i := range subs {
+		sc.res[i] = s.decideKey(sc, i)
 	}
+}
+
+// decideKey runs the priority decisions for key i of the tile
+// lookupBatch just searched.
+//
+//catcam:hotpath
+func (s *snapshot) decideKey(sc *readScratch, i int) keyResult {
+	meta := sc.keySub[i]
+	if meta < 0 {
+		return keyResult{sub: -1}
+	}
+	gw, rw := len(sc.globalMatch.Words()), len(sc.acc)
+	globalMatch := sc.globalMatch.LoadWords(sc.keyGlobs[i*gw : (i+1)*gw])
 	report := s.global.ColumnNORInto(sc.report, globalMatch, &sc.global)
 	oneHot := report.IsOneHot()
-	var winner int
+	winner := meta
 	if oneHot {
 		winner = report.First()
 	} else {
-		// Identical fail-stop/fail-report split to the locked path.
+		// The hardware encoding guarantees a one-hot report; a broken
+		// guarantee is fail-stop without an auditor, fail-report with
+		// one — the violation is recorded and the lookup answered from
+		// the metadata cache (the highest matched interval) so traffic
+		// keeps flowing.
 		if s.aud == nil {
 			panic(fmt.Sprintf("core: global report not one-hot: %s", report))
 		}
@@ -352,20 +425,27 @@ func (s *snapshot) lookup(sc *readScratch, k ternary.Key, tr *tracepkg.Trace, ke
 			Invariant: flightrec.InvReportOneHot, Table: -1, Subtable: -1, RuleID: -1,
 			Detail: fmt.Sprintf("global report %s has %d bits set", report, report.Count()),
 		})
-		winner = s.metadataWinner(globalMatch)
-		if winner < 0 {
-			return Entry{}, -1, false
-		}
 	}
 	sv := s.subs[winner]
-	slot := sv.decide(sc.localReport, sc.locals[winner], &sc.prio, s.aud)
+	local := sc.localMatch
+	if winner == meta {
+		local.LoadWords(sc.keyLocal[i*rw : (i+1)*rw])
+	} else {
+		// The global matrix named a subtable other than the highest
+		// matched interval: search it again for this key. The repeat
+		// is a host artifact, not a modeled access, so its accounting
+		// is discarded.
+		var discard sram.Stats
+		sv.match.SearchInto(local, sc.acc, sc.keys[i], &discard)
+	}
+	slot := sv.decide(sc.localReport, local, &sc.prio, s.aud)
 	if slot < 0 {
-		return Entry{}, -1, false
+		return keyResult{sub: -1}
 	}
 	if s.aud.SampleLookup() {
 		s.auditLookup(sc, oneHot, winner, slot) //catcam:allow alloc "sampled inline audit; rate-gated off the steady-state path"
 	}
-	return Entry{Rank: sv.ranks[slot], Action: sv.actions[slot]}, winner, true
+	return keyResult{sub: winner, slot: slot}
 }
 
 // metadataWinner derives the winning subtable from the snapshot's
@@ -381,7 +461,8 @@ func (s *snapshot) metadataWinner(globalMatch *bitvec.Vector) int {
 
 // auditLookup runs the inline lookup checks for one sampled lock-free
 // lookup, against the same epoch the answer came from — the
-// snapshot-side counterpart of Device.auditLookup.
+// snapshot-side counterpart of Device.auditLookup. It reads the key's
+// global and winning local match vectors decideKey left in sc.
 func (s *snapshot) auditLookup(sc *readScratch, oneHot bool, winner, slot int) {
 	if oneHot {
 		s.aud.CheckPass(flightrec.InvReportOneHot)
@@ -393,7 +474,7 @@ func (s *snapshot) auditLookup(sc *readScratch, oneHot bool, winner, slot int) {
 			Detail: fmt.Sprintf("global matrix chose subtable %d, metadata walk %d", winner, meta),
 		}
 	})
-	best := s.subs[winner].bestMatched(sc.locals[winner])
+	best := s.subs[winner].bestMatched(sc.localMatch)
 	s.aud.Check(flightrec.InvWinnerAgreement, best == slot, func() flightrec.Violation {
 		return flightrec.Violation{
 			Table: -1, Subtable: winner, RuleID: -1,

@@ -12,7 +12,9 @@ import (
 // *trace.Trace down into the lock-free lookup core as arguments, which
 // records one device_lookup span per key plus, for the trace's single
 // focus key, one sram_kernel span per active subtable — the
-// per-subtable search detail /debug/blame aggregates. The span layer
+// per-subtable search detail /debug/blame aggregates. A traced batch
+// runs the batch core one key at a time, so each key's kernel spans
+// nest inside its own device_lookup span. The span layer
 // rides the same epoch snapshot as the answer it annotates, so a trace
 // can never mix state from two epochs.
 //
@@ -49,11 +51,15 @@ func (d *Device) LookupHeaderBatchTraced(tr *trace.Trace, hs []rules.Header, dst
 	s := d.snap.Load()
 	sc := d.getScratch()
 	focus := tr.Focus()
+	sc.stage(1, s.cfg.KeyWidth)
 	for i, h := range hs {
 		start := trace.Nanos()
 		cyc0 := sc.lookupCycles
 		rules.EncodeHeaderInto(&sc.encKey, h)
-		e, sub, ok := s.lookup(sc, s.padKey(sc, sc.encKey), tr, i, i == focus)
+		s.stageKey(sc, 0, sc.encKey)
+		s.lookupBatch(sc, 1, tr, i, i == focus)
+		sub := sc.res[0].sub
+		e, ok := s.entry(sc.res[0])
 		//catcam:allow alloc "sampled trace span; rate-gated off the steady-state path"
 		tr.Span(trace.StageDeviceLookup, s.frTable, s.trShard, sub, i, start, sc.lookupCycles-cyc0)
 		if s.shadow.Sample() {

@@ -36,9 +36,9 @@ const (
 	// pairwise disjoint and strictly ordered, and the global matrix
 	// encodes exactly that order (§VI: interval-based allocation).
 	InvIntervalDisjoint
-	// InvBitPlaneParity: the bit-sliced match planes return the same
-	// report vector as the scalar reference search over live entries
-	// (PR 2's second search path stays equivalent).
+	// InvBitPlaneParity: the knock-out match table agrees with the
+	// stored words and returns the same report vector as the scalar
+	// reference search over live entries.
 	InvBitPlaneParity
 	// InvShadowMatch: a sampled lookup re-classified by a software
 	// reference classifier agrees with the device's decision.

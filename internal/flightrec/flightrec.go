@@ -17,7 +17,7 @@
 //     sampled lookups (one-hot report vector, winner agreement with the
 //     metadata cache, eviction-chain length ≤ 1) plus background sweeps
 //     (priority-matrix antisymmetry/irreflexivity, global interval
-//     disjointness, bit-plane ≡ scalar match-array consistency) feed
+//     disjointness, match-table ≡ scalar match-array consistency) feed
 //     per-invariant check/violation counters, violation events on the
 //     shared telemetry ring, and a /debug/audit report.
 //

@@ -17,14 +17,14 @@ func newTestArray(rows, width int) *TernaryArray {
 	return NewTernaryArray(p, width)
 }
 
-// checkEquivalence asserts the bit-sliced Search agrees with both the
+// checkEquivalence asserts the table-kernel Search agrees with both the
 // scalar SearchReference kernel and a from-scratch Word.Match loop.
 func checkEquivalence(t *testing.T, a *TernaryArray, k ternary.Key) {
 	t.Helper()
 	got := a.Search(k)
 	ref := a.SearchReference(k)
 	if !got.Equal(ref) {
-		t.Fatalf("bit-sliced %s != reference %s\nkey %s", got, ref, k)
+		t.Fatalf("table kernel %s != reference %s\nkey %s", got, ref, k)
 	}
 	direct := bitvec.New(a.Rows())
 	for r := 0; r < a.Rows(); r++ {
@@ -33,7 +33,7 @@ func checkEquivalence(t *testing.T, a *TernaryArray, k ternary.Key) {
 		}
 	}
 	if !got.Equal(direct) {
-		t.Fatalf("bit-sliced %s != direct Word.Match %s\nkey %s", got, direct, k)
+		t.Fatalf("table kernel %s != direct Word.Match %s\nkey %s", got, direct, k)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestSearchEquivalenceEdgeWords(t *testing.T) {
 }
 
 // TestSearchAccountingParity pins the acceptance criterion that the
-// bit-sliced kernel changes host speed only: cycle/energy statistics of
+// table kernel changes host speed only: cycle/energy statistics of
 // a Search-driven array are byte-for-byte identical to a
 // SearchReference-driven one across an interleaved update stream.
 func TestSearchAccountingParity(t *testing.T) {
@@ -123,7 +123,7 @@ func TestSearchAccountingParity(t *testing.T) {
 		slow.SearchReference(k)
 	}
 	if fast.Stats() != slow.Stats() {
-		t.Fatalf("stats diverged:\nbit-sliced %+v\nreference  %+v", fast.Stats(), slow.Stats())
+		t.Fatalf("stats diverged:\ntable kernel %+v\nreference  %+v", fast.Stats(), slow.Stats())
 	}
 }
 

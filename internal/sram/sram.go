@@ -10,9 +10,9 @@
 //     and global priority matrices.
 //
 //   - TernaryArray: the transposed-cell match matrix (§V-C). Each entry
-//     row stores a ternary word as two bit planes (the 10/01/00 encoding
-//     of Fig 13); a search drives the encoded key on the search lines
-//     and senses all match lines in parallel.
+//     row stores a ternary word (the 10/01/00 encoding of Fig 13); a
+//     search drives the encoded key on the search lines and senses all
+//     match lines in parallel.
 //
 // Energy follows the paper's Table I: a search/decision costs a base
 // amount (peripheral control, amortized) plus an incremental amount per
@@ -263,12 +263,18 @@ func (a *Array) ColumnNORInto(dst, active *bitvec.Vector) *bitvec.Vector {
 // of Cols ternary bits each, searched in parallel.
 //
 // Host-side it keeps two representations of the same contents. The
-// row-major entries slice is the write/readback view. The bit-sliced
-// planes are the search view: for every ternary position there is one
-// value plane and one care plane, each one bit per entry packed into
-// uint64 words, so a search evaluates 64 entries per word operation —
-// the same bulk bit-parallelism the silicon's match lines provide,
-// applied to simulator throughput. Cycle and energy accounting are
+// row-major entries slice is the write/readback view. The knock-out
+// table is the search view, laid out as a RAM-based CAM with 2-bit
+// sub-words: ternary positions are paired into chunks (chunk c holds
+// positions 2c and 2c+1), and for every chunk and every 2-bit key
+// value v the table holds one bitmap of the entries that MISmatch v,
+// packed 64 entries per uint64 word. A search reads one bitmap per
+// chunk — addressed by the key's two bits there — and clears those
+// entries from a running match vector, so it evaluates 64 entries per
+// word operation with no per-bit branch: the same bulk bit-parallelism
+// the silicon's match lines provide, applied to simulator throughput.
+// Four bitmaps per two positions cost two bits per position and entry,
+// the size of a (value, care) pair. Cycle and energy accounting are
 // independent of which representation the host touches.
 type TernaryArray struct {
 	params  Params
@@ -280,19 +286,20 @@ type TernaryArray struct {
 	// scales search energy accounting.
 	subarrays int
 
-	// Bit-sliced planes. rowWords is the uint64 count per plane
-	// (ceil(Rows/64)); plane p for ternary position pos occupies
-	// [pos*rowWords, (pos+1)*rowWords). Positions follow the storage
-	// order of ternary.Word.PlaneWords: position 0 is the least
-	// significant (right-most) ternary bit.
-	rowWords   int
-	planeValue []uint64 //catcam:cycle-state
-	planeCare  []uint64 //catcam:cycle-state
-	// careAny marks positions where at least one entry has ever cared —
-	// all-wildcard columns (padding, flat port fields) are skipped by
+	// rowWords is the uint64 count per bitmap (ceil(Rows/64)). The
+	// bitmap for chunk c and key value v occupies
+	// tab[(c*4+v)*rowWords : (c*4+v+1)*rowWords]. Chunks follow the
+	// storage order of ternary.Word.PlaneWords: chunk 0 holds the two
+	// least significant (right-most) positions, and v's bit 0 is the
+	// key bit at the chunk's even position. An odd width's last chunk
+	// pairs its position with a pad position no entry cares about.
+	rowWords int
+	tab      []uint64 //catcam:cycle-state
+	// chunkAny marks chunks where at least one entry has ever cared —
+	// all-wildcard chunks (padding, flat port fields) are skipped by
 	// the kernel. Bits are set on write and conservatively never
 	// cleared on invalidate, which only costs a skipped optimization.
-	careAny []uint64 //catcam:cycle-state
+	chunkAny []uint64 //catcam:cycle-state
 	// acc is the kernel's match accumulator scratch.
 	acc []uint64
 	// validCount caches valid.Count() so per-search energy accounting
@@ -309,16 +316,16 @@ func NewTernaryArray(p Params, width int) *TernaryArray {
 		panic(fmt.Sprintf("sram: width %d not a multiple of subarray cols %d", width, p.Cols))
 	}
 	rowWords := (p.Rows + 63) / 64
+	chunks := (width + 1) / 2
 	return &TernaryArray{
-		params:     p,
-		entries:    make([]ternary.Word, p.Rows),
-		valid:      bitvec.New(p.Rows),
-		subarrays:  width / p.Cols,
-		rowWords:   rowWords,
-		planeValue: make([]uint64, width*rowWords),
-		planeCare:  make([]uint64, width*rowWords),
-		careAny:    make([]uint64, (width+63)/64),
-		acc:        make([]uint64, rowWords),
+		params:    p,
+		entries:   make([]ternary.Word, p.Rows),
+		valid:     bitvec.New(p.Rows),
+		subarrays: width / p.Cols,
+		rowWords:  rowWords,
+		tab:       make([]uint64, chunks*4*rowWords),
+		chunkAny:  make([]uint64, (chunks+63)/64),
+		acc:       make([]uint64, rowWords),
 	}
 }
 
@@ -367,8 +374,8 @@ func (t *TernaryArray) checkRow(r int) {
 //
 // The array aliases w rather than copying it: words are immutable by
 // convention once built (every constructor in ternary returns a fresh
-// word), and the bit-sliced planes are derived from w at write time, so
-// a caller mutating w afterwards would desynchronize the two views.
+// word), and the knock-out table is derived from w at write time, so a
+// caller mutating w afterwards would desynchronize the two views.
 func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 	t.checkRow(r)
 	if w.Width() != t.Width() {
@@ -385,29 +392,53 @@ func (t *TernaryArray) WriteEntry(r int, w ternary.Word) {
 	t.sliceEntry(r, w)
 }
 
-// sliceEntry scatters w's (value, care) bit pairs into the transposed
-// planes at entry column r. Every position is written — set or cleared
-// — so stale planes from a previous occupant cannot survive.
+// chunkBits returns the 2-bit field of chunk c (positions 2c, 2c+1) in
+// a word slice stored in PlaneWords order.
+func chunkBits(ws []uint64, c int) uint64 {
+	return ws[c>>5] >> (uint(c&31) * 2) & 3
+}
+
+// knockOutMasks[val<<2|care] is the 4-bit mask of 2-bit key values
+// that mismatch a chunk storing value val under care mask care: bit v
+// is set when some cared position disagrees with v.
+var knockOutMasks = func() (m [16]uint64) {
+	for val := uint64(0); val < 4; val++ {
+		for care := uint64(0); care < 4; care++ {
+			for v := uint64(0); v < 4; v++ {
+				if (v^val)&care != 0 {
+					m[val<<2|care] |= 1 << v
+				}
+			}
+		}
+	}
+	return m
+}()
+
+// knockOut returns the knock-out mask of chunk c of a stored word.
+func knockOut(value, care []uint64, c int) uint64 {
+	return knockOutMasks[chunkBits(value, c)<<2|chunkBits(care, c)]
+}
+
+// sliceEntry writes w's knock-out bits into the table at entry column
+// r. Every chunk's four bitmaps are written — set or cleared — so stale
+// bits from a previous occupant cannot survive.
 //
-//catcam:allow cycles "plane scatter is part of WriteEntry's single modeled write cycle"
+//catcam:allow cycles "table scatter is part of WriteEntry's single modeled write cycle"
 func (t *TernaryArray) sliceEntry(r int, w ternary.Word) {
 	value, care := w.PlaneWords()
-	wi, bit := r/64, uint64(1)<<(r%64)
-	width := t.Width()
-	for pos := 0; pos < width; pos++ {
-		pw, pb := pos/64, uint(pos%64)
-		i := pos*t.rowWords + wi
-		if value[pw]&(1<<pb) != 0 {
-			t.planeValue[i] |= bit
-		} else {
-			t.planeValue[i] &^= bit
+	sh := uint(r % 64)
+	keep := ^(uint64(1) << sh)
+	rw := t.rowWords
+	for c := 0; c < len(t.tab)/(4*rw); c++ {
+		if chunkBits(care, c) != 0 {
+			t.chunkAny[c>>6] |= 1 << uint(c&63)
 		}
-		if care[pw]&(1<<pb) != 0 {
-			t.planeCare[i] |= bit
-			t.careAny[pw] |= 1 << pb
-		} else {
-			t.planeCare[i] &^= bit
-		}
+		m := knockOut(value, care, c)
+		i := c*4*rw + r/64
+		t.tab[i] = t.tab[i]&keep | (m&1)<<sh
+		t.tab[i+rw] = t.tab[i+rw]&keep | (m>>1&1)<<sh
+		t.tab[i+2*rw] = t.tab[i+2*rw]&keep | (m>>2&1)<<sh
+		t.tab[i+3*rw] = t.tab[i+3*rw]&keep | (m>>3)<<sh
 	}
 }
 
@@ -436,10 +467,10 @@ func (t *TernaryArray) EntryWord(r int) (ternary.Word, bool) {
 	return t.entries[r], true
 }
 
-// Invalidate clears entry r (rule deletion: one cycle). The planes are
+// Invalidate clears entry r (rule deletion: one cycle). The table is
 // left stale on purpose: the kernel starts its accumulator from the
-// valid mask, so plane bits of invalid entries can never surface, and
-// the next WriteEntry into the row rewrites every position.
+// valid mask, so table bits of invalid entries can never surface, and
+// the next WriteEntry into the row rewrites every chunk.
 func (t *TernaryArray) Invalidate(r int) {
 	t.checkRow(r)
 	t.stats.Cycles++
@@ -475,91 +506,90 @@ func (t *TernaryArray) SearchInto(dst *bitvec.Vector, k ternary.Key) *bitvec.Vec
 	t.stats.Searches++
 	t.stats.EnergyFJ += float64(t.subarrays) * t.params.ComputeEnergyFJ(t.validCount)
 
-	// Bit-sliced kernel: acc starts as the valid mask; each cared-for
-	// position knocks out the entries whose stored value disagrees with
-	// the broadcast key bit. 64 entries per word op. Positions are
-	// walked most significant first: the discriminating bits (IP
-	// prefixes) sit at the top of the encoded key, so the accumulator
-	// usually empties within a few planes; careAny words skip
-	// all-wildcard columns (padding, flat port fields) outright.
-	acc := t.acc
-	copy(acc, t.valid.Words())
-	if t.rowWords == 4 {
-		kernel4(k.Words(), acc, t.planeValue, t.planeCare, t.careAny)
-	} else {
-		kernelN(k.Words(), acc, t.planeValue, t.planeCare, t.careAny, t.rowWords)
+	copy(t.acc, t.valid.Words())
+	knockOutKernel(k.Words(), t.acc, t.tab, t.chunkAny)
+	return dst.LoadWords(t.acc)
+}
+
+// knockOutKernel runs one search over a knock-out table: acc enters as
+// the valid mask and leaves as the match vector; the result reports
+// whether any entry matched. It is a free function over raw slices so
+// the live array and the immutable snapshot views (view.go) share one
+// kernel.
+//
+//catcam:hotpath
+func knockOutKernel(kw, acc, tab, chunkAny []uint64) bool {
+	if len(acc) == 4 {
+		return kernel4(kw, acc, tab, chunkAny)
 	}
-	return dst.LoadWords(acc)
+	return kernelN(kw, acc, tab, chunkAny)
 }
 
 // kernel4 is the match kernel specialized for 256-entry subtables
 // (four accumulator words, the paper's geometry): the accumulator
-// stays in registers across the whole search. It is a free function
-// over raw plane slices so the live array and the immutable snapshot
-// views (view.go) share one kernel.
+// stays in registers across the whole search. Chunks are walked most
+// significant first: the discriminating bits (IP prefixes) sit at the
+// top of the encoded key, so the accumulator usually empties within a
+// few chunks; chunkAny words skip all-wildcard chunks outright.
 //
 //catcam:hotpath
-func kernel4(kw, acc, pv, pc, careAny []uint64) {
+func kernel4(kw, acc, tab, chunkAny []uint64) bool {
 	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-	for pw := len(careAny) - 1; pw >= 0; pw-- {
-		ca := careAny[pw]
-		if ca == 0 {
-			continue
-		}
-		kword := kw[pw]
+	for cw := len(chunkAny) - 1; cw >= 0; cw-- {
+		ca := chunkAny[cw]
 		for ca != 0 {
-			pb := 63 - bits.LeadingZeros64(ca)
-			ca &^= 1 << uint(pb)
-			bcast := uint64(0)
-			if kword&(1<<uint(pb)) != 0 {
-				bcast = ^uint64(0)
-			}
-			base := (pw*64 + pb) * 4
-			a0 &^= (pv[base] ^ bcast) & pc[base]
-			a1 &^= (pv[base+1] ^ bcast) & pc[base+1]
-			a2 &^= (pv[base+2] ^ bcast) & pc[base+2]
-			a3 &^= (pv[base+3] ^ bcast) & pc[base+3]
+			cb := 63 - bits.LeadingZeros64(ca)
+			ca &^= 1 << uint(cb)
+			c := cw*64 + cb
+			base := (c*4 + int(chunkBits(kw, c))) * 4
+			row := tab[base : base+4 : base+4]
+			a0 &^= row[0]
+			a1 &^= row[1]
+			a2 &^= row[2]
+			a3 &^= row[3]
 			if a0|a1|a2|a3 == 0 {
 				acc[0], acc[1], acc[2], acc[3] = 0, 0, 0, 0
-				return
+				return false
 			}
 		}
 	}
 	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+	return true
 }
 
 // kernelN is the generic-width match kernel.
 //
 //catcam:hotpath
-func kernelN(kw, acc, pv, pc, careAny []uint64, rw int) {
-	for pw := len(careAny) - 1; pw >= 0; pw-- {
-		ca := careAny[pw]
-		if ca == 0 {
-			continue
-		}
-		kword := kw[pw]
+func kernelN(kw, acc, tab, chunkAny []uint64) bool {
+	rw := len(acc)
+	for cw := len(chunkAny) - 1; cw >= 0; cw-- {
+		ca := chunkAny[cw]
 		for ca != 0 {
-			pb := 63 - bits.LeadingZeros64(ca)
-			ca &^= 1 << uint(pb)
-			bcast := uint64(0)
-			if kword&(1<<uint(pb)) != 0 {
-				bcast = ^uint64(0)
-			}
-			base := (pw*64 + pb) * rw
+			cb := 63 - bits.LeadingZeros64(ca)
+			ca &^= 1 << uint(cb)
+			c := cw*64 + cb
+			base := (c*4 + int(chunkBits(kw, c))) * rw
+			row := tab[base : base+rw : base+rw]
 			live := uint64(0)
-			for i := 0; i < rw; i++ {
-				acc[i] &^= (pv[base+i] ^ bcast) & pc[base+i]
+			for i, w := range row {
+				acc[i] &^= w
 				live |= acc[i]
 			}
 			if live == 0 {
-				return
+				return false
 			}
 		}
 	}
+	for _, w := range acc {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // AuditSearchParity re-runs one search through both kernels — the
-// bit-sliced production path and the scalar reference — and reports a
+// knock-out table production path and the scalar reference — and reports a
 // non-nil error when their match vectors disagree. The array statistics
 // are snapshotted and restored around the probe, so audit traffic never
 // pollutes the cycle/energy accounting the paper's experiments read.
@@ -567,44 +597,40 @@ func kernelN(kw, acc, pv, pc, careAny []uint64, rw int) {
 // allocates and is meant for sampled background sweeps.
 func (t *TernaryArray) AuditSearchParity(k ternary.Key) error {
 	saved := t.stats
-	sliced := t.Search(k)
+	got := t.Search(k)
 	ref := t.SearchReference(k)
 	t.stats = saved
-	if !sliced.Equal(ref) {
-		return fmt.Errorf("sram: bit-sliced search %s != scalar reference %s", sliced, ref)
+	if !got.Equal(ref) {
+		return fmt.Errorf("sram: knock-out table search %s != scalar reference %s", got, ref)
 	}
 	return nil
 }
 
-// AuditPlanes verifies the bit-sliced search view against the row-major
-// write view: for every valid entry, the stored (value, care) plane
-// bits must equal the planes re-derived from the entry's word, and
-// every cared position must be marked in careAny (a cleared careAny bit
-// would make the kernel skip a discriminating column). Returns the
-// first divergence. Verification access: no cycle/energy accounting.
+// AuditPlanes verifies the knock-out table against the row-major write
+// view: for every valid entry, its four bits per chunk must equal the
+// bits re-derived from the entry's word, and every chunk the entry
+// cares in must be marked in chunkAny (a cleared chunkAny bit would
+// make the kernel skip a discriminating chunk). Returns the first
+// divergence. Verification access: no cycle/energy accounting.
 func (t *TernaryArray) AuditPlanes() error {
 	var err error
+	rw := t.rowWords
 	t.valid.ForEach(func(r int) bool {
 		value, care := t.entries[r].PlaneWords()
 		wi, bit := r/64, uint64(1)<<(r%64)
-		width := t.Width()
-		for pos := 0; pos < width; pos++ {
-			pw, pb := pos/64, uint(pos%64)
-			i := pos*t.rowWords + wi
-			wantValue := value[pw]&(1<<pb) != 0
-			wantCare := care[pw]&(1<<pb) != 0
-			if got := t.planeValue[i]&bit != 0; got != wantValue {
-				err = fmt.Errorf("sram: entry %d position %d value plane %v != stored word %v",
-					r, pos, got, wantValue)
-				return false
+		for c := 0; c < len(t.tab)/(4*rw); c++ {
+			cr := chunkBits(care, c)
+			want := knockOut(value, care, c)
+			for v := 0; v < 4; v++ {
+				got := t.tab[(c*4+v)*rw+wi]&bit != 0
+				if got != (want&(1<<uint(v)) != 0) {
+					err = fmt.Errorf("sram: entry %d chunk %d (positions %d-%d) key value %d: knock-out bit %v != stored word",
+						r, c, 2*c, 2*c+1, v, got)
+					return false
+				}
 			}
-			if got := t.planeCare[i]&bit != 0; got != wantCare {
-				err = fmt.Errorf("sram: entry %d position %d care plane %v != stored word %v",
-					r, pos, got, wantCare)
-				return false
-			}
-			if wantCare && t.careAny[pw]&(1<<pb) == 0 {
-				err = fmt.Errorf("sram: entry %d cares at position %d but careAny is clear", r, pos)
+			if cr != 0 && t.chunkAny[c>>6]&(1<<uint(c&63)) == 0 {
+				err = fmt.Errorf("sram: entry %d cares in chunk %d but chunkAny is clear", r, c)
 				return false
 			}
 		}
@@ -613,11 +639,13 @@ func (t *TernaryArray) AuditPlanes() error {
 	return err
 }
 
-// InjectPlaneFault flips the value-plane bit of entry r at its first
-// cared position, desynchronizing the bit-sliced search view from the
-// row-major word — the seeded corruption the auditor tests use to prove
-// the plane and parity audits fire. Returns the flipped position, or -1
-// when the entry is invalid or fully wildcarded. Test hook only.
+// InjectPlaneFault flips the knock-out bit of entry r at its first
+// cared chunk, for the key value the entry itself matches there —
+// desynchronizing the search view from the row-major word so that the
+// entry no longer matches its own canonical key. It is the seeded
+// corruption the auditor tests use to prove the table and parity
+// audits fire. Returns the first cared position of the flipped chunk,
+// or -1 when the entry is invalid or fully wildcarded. Test hook only.
 //
 //catcam:allow cycles "deliberate corruption hook for auditor tests, not a modeled access"
 func (t *TernaryArray) InjectPlaneFault(r int) int {
@@ -625,18 +653,23 @@ func (t *TernaryArray) InjectPlaneFault(r int) int {
 	if !t.valid.Get(r) {
 		return -1
 	}
-	wi, bit := r/64, uint64(1)<<(r%64)
-	for pos := 0; pos < t.Width(); pos++ {
-		if t.planeCare[pos*t.rowWords+wi]&bit != 0 {
-			t.planeValue[pos*t.rowWords+wi] ^= bit
-			return pos
+	value, care := t.entries[r].PlaneWords()
+	for c := 0; c < len(t.tab)/(4*t.rowWords); c++ {
+		cr := chunkBits(care, c)
+		if cr == 0 {
+			continue
 		}
+		t.tab[(c*4+int(chunkBits(value, c)))*t.rowWords+r/64] ^= uint64(1) << (r % 64)
+		if cr&1 != 0 {
+			return 2 * c
+		}
+		return 2*c + 1
 	}
 	return -1
 }
 
 // SearchReference is the scalar reference kernel: one Word.Match per
-// valid entry, exactly the pre-bit-sliced implementation, with
+// valid entry, independent of the knock-out table, with
 // identical cycle/energy accounting. Tests assert SearchInto ≡
 // SearchReference on both the match vector and the statistics.
 func (t *TernaryArray) SearchReference(k ternary.Key) *bitvec.Vector {

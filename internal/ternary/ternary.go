@@ -68,8 +68,8 @@ func (k Key) Width() int { return k.width }
 // PlaneWords exposes the word's two backing bit planes, indexed by
 // storage position (bit 0 of value[0]/care[0] is the word's least
 // significant, i.e. right-most, ternary position). Callers must not
-// mutate the slices; the bit-sliced match kernel reads them to
-// maintain its transposed planes.
+// mutate the slices; the match array reads them to maintain its
+// knock-out table.
 func (w Word) PlaneWords() (value, care []uint64) { return w.value, w.care }
 
 // Words exposes the key's backing words in the same storage order as

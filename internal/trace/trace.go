@@ -78,7 +78,7 @@ const (
 	// broadcast, global decision, local decision. Subtable carries the
 	// winning subtable (-1 on miss).
 	StageDeviceLookup
-	// StageSRAMKernel is one subtable's bit-sliced match-kernel search
+	// StageSRAMKernel is one subtable's match-kernel search
 	// for the trace's focus key.
 	StageSRAMKernel
 	// StageIngress is one ingress worker's burst: ring drain, flow-cache
