@@ -409,6 +409,72 @@ func BenchmarkDeviceInsertDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceChurn measures the host cost of one insert and one
+// delete on a Compact device loaded with ClassBench FW at 250, 1000
+// and 2000 rules (≈12.7 entries per rule after range expansion). Each
+// iteration deletes a live rule and inserts a fresh one, both taken in
+// order from a classbench.UpdateTraceFresh trace, so the table size
+// stays constant; the op=delete and op=insert sub-benchmarks time only
+// their own half. Updates modeled as O(1) must cost host time
+// proportional to the entries they write, not to the table: delete
+// ns/op should stay flat across the three sizes.
+func BenchmarkDeviceChurn(b *testing.B) {
+	for _, size := range []int{250, 1000, 2000} {
+		rs := classbench.Generate(classbench.Config{Family: classbench.FW, Size: size, Seed: 1})
+		for _, op := range []classbench.Op{classbench.OpDelete, classbench.OpInsert} {
+			b.Run(fmt.Sprintf("rules=%d/op=%s", size, op), func(b *testing.B) {
+				benchChurn(b, rs, op)
+			})
+		}
+	}
+}
+
+// benchChurn loads rs into a fresh device and runs b.N delete/insert
+// pairs, timing only the updates of kind timed.
+func benchChurn(b *testing.B, rs *catcam.Ruleset, timed classbench.Op) {
+	dev := catcam.New(catcam.Compact())
+	for _, r := range rs.Rules {
+		if _, err := dev.InsertRule(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// In a fresh-priority trace the k-th insert re-adds a rule deleted
+	// earlier and the k-th delete names a rule live before it, so
+	// pairing them in order (delete first) is itself a valid trace.
+	var dels, ins []catcam.Rule
+	for n := 4 * b.N; len(dels) < b.N || len(ins) < b.N; n *= 2 {
+		dels, ins = dels[:0], ins[:0]
+		for _, u := range classbench.UpdateTraceFresh(rs, n, 3) {
+			if u.Op == classbench.OpDelete {
+				dels = append(dels, u.Rule)
+			} else {
+				ins = append(ins, u.Rule)
+			}
+		}
+	}
+	apply := func(op classbench.Op, r catcam.Rule) {
+		if op != timed {
+			b.StopTimer()
+			defer b.StartTimer()
+		}
+		var err error
+		if op == classbench.OpDelete {
+			_, err = dev.DeleteRule(r.ID)
+		} else {
+			_, err = dev.InsertRule(r)
+		}
+		if err != nil {
+			b.Fatalf("%s rule %d: %v", op, r.ID, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply(classbench.OpDelete, dels[i])
+		apply(classbench.OpInsert, ins[i])
+	}
+}
+
 // BenchmarkAblations regenerates the design-choice ablations.
 func BenchmarkAblations(b *testing.B) {
 	var ratio float64

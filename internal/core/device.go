@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,8 +98,9 @@ type Stats struct {
 	FreshSubtables uint64 // subtables assigned at runtime
 }
 
-// location records where an entry lives.
-type location struct {
+// entryLoc records where one of a rule's entries lives.
+type entryLoc struct {
+	seq  int
 	st   int
 	slot int
 }
@@ -153,8 +156,13 @@ type Device struct {
 	order []int //catcam:guarded-by mu
 	// freeSubs holds inactive subtable IDs available for assignment.
 	freeSubs []int //catcam:guarded-by mu
-	// locs maps an entry key (ruleID, seq) to its location.
-	locs map[entryKey]location //catcam:guarded-by mu
+	// locator is the rule locator: each rule ID maps to its entries'
+	// locations in seq order, so an update touches only its own rule's
+	// record. Records are never empty.
+	locator map[int][]entryLoc //catcam:guarded-by mu
+	// entries counts stored entries, the sum of the locator records'
+	// lengths; published as the snapshot's count.
+	entries int //catcam:guarded-by mu
 	// seqCounter makes ranks unique across expansion entries.
 	seqCounter int //catcam:guarded-by mu
 
@@ -191,11 +199,6 @@ type Device struct {
 	// arrives with the request and travels through lookup arguments —
 	// see trace.go.
 	trShard int //catcam:guarded-by mu
-}
-
-type entryKey struct {
-	ruleID int
-	seq    int
 }
 
 // lookupScratch is the legacy locked path's reusable per-lookup
@@ -244,7 +247,7 @@ func NewDevice(cfg Config) *Device {
 		active:  make([]bool, cfg.Subtables),
 		maxOf:   make([]Rank, cfg.Subtables),
 		dirty:   make([]bool, cfg.Subtables),
-		locs:    make(map[entryKey]location),
+		locator: make(map[int][]entryLoc),
 		frTable: -1,
 		trShard: -1,
 	}
@@ -558,7 +561,8 @@ func (d *Device) InsertRule(r rules.Rule) (UpdateResult, error) {
 func (d *Device) insertRule(r rules.Rule) (UpdateResult, error) {
 	var total UpdateResult
 	words := r.Encode()
-	inserted := make([]entryKey, 0, len(words))
+	firstSeq := d.seqCounter
+	d.reserveLoc(r.ID, len(words))
 	for i, w := range words {
 		d.trace.NextEntry(i)
 		seq := d.seqCounter
@@ -567,12 +571,9 @@ func (d *Device) insertRule(r rules.Rule) (UpdateResult, error) {
 		res, err := d.insertEntry(e)
 		d.auditEvictionBound(res)
 		if err != nil {
-			for _, k := range inserted {
-				d.deleteEntry(k)
-			}
+			d.rollback(r.ID, firstSeq)
 			return total, err
 		}
-		inserted = append(inserted, entryKey{r.ID, seq})
 		total.Cycles += res.Cycles
 		total.Reallocated += res.Reallocated
 		total.FreshTables += res.FreshTables
@@ -627,25 +628,33 @@ func (d *Device) DeleteRule(ruleID int) (UpdateResult, error) {
 }
 
 func (d *Device) deleteRule(ruleID int) (UpdateResult, error) {
-	var keys []entryKey
-	for k := range d.locs {
-		if k.ruleID == ruleID {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
+	rec, ok := d.locator[ruleID]
+	if !ok {
 		return UpdateResult{}, ErrNotFound
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].seq < keys[j].seq })
-	var total UpdateResult
-	total.Class = ClassDelete
-	total.Subtable = -1
-	for i, k := range keys {
+	delete(d.locator, ruleID)
+	total := UpdateResult{Class: ClassDelete, Subtable: -1}
+	for i, l := range rec {
 		d.trace.NextEntry(i)
-		d.deleteEntry(k)
+		d.deleteEntry(l)
 		total.Cycles += ClassDelete.Cycles()
 	}
 	return total, nil
+}
+
+// rollback deletes the entries of ruleID issued at or after seq — the
+// entries a failed InsertRule already placed — in seq order.
+func (d *Device) rollback(ruleID, seq int) {
+	rec := d.locator[ruleID]
+	i := findSeq(rec, seq)
+	for _, l := range rec[i:] {
+		d.deleteEntry(l)
+	}
+	if i == 0 {
+		delete(d.locator, ruleID)
+	} else {
+		d.locator[ruleID] = rec[:i]
+	}
 }
 
 // ModifyRule replaces a rule with a new version, per §III-C:
@@ -762,7 +771,6 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 	evicted := st.ReadEntry(maxSlot)
 	st.Delete(maxSlot)
 	d.dirty[target] = true
-	d.forgetLoc(evicted)
 	if t := d.tel; t != nil {
 		t.reallocs.Inc()
 		t.event(telemetry.Event{Kind: telemetry.EvRealloc, Subtable: target,
@@ -789,6 +797,7 @@ func (d *Device) insertEntry(e Entry) (UpdateResult, error) {
 			// but re-home the evicted rule rather than lose it.
 			id, ok := d.assignSubtable(evicted.Rank, d.targetSubtable(evicted.Rank))
 			if !ok {
+				d.forgetLoc(evicted)
 				return res, ErrFull
 			}
 			d.placeEntry(id, evicted)
@@ -888,11 +897,53 @@ func (d *Device) placeEntry(id int, e Entry) int {
 func (d *Device) placeEntryAt(id, slot int, e Entry) {
 	d.subs[id].Insert(slot, e)
 	d.dirty[id] = true
-	d.locs[entryKey{e.Rank.RuleID, e.Rank.Seq}] = location{st: id, slot: slot}
+	d.recordLoc(e, id, slot)
 }
 
+// findSeq returns the index of the first record element whose seq is
+// at least seq (len(rec) when none is).
+func findSeq(rec []entryLoc, seq int) int {
+	i, _ := slices.BinarySearchFunc(rec, seq, func(l entryLoc, s int) int { return cmp.Compare(l.seq, s) })
+	return i
+}
+
+// reserveLoc sizes ruleID's record for n more entries, so placing a
+// rule's expansion appends without reallocating. A rule that encodes
+// to no entries gets no record.
+func (d *Device) reserveLoc(ruleID, n int) {
+	if n > 0 {
+		d.locator[ruleID] = slices.Grow(d.locator[ruleID], n)
+	}
+}
+
+// recordLoc points the locator at e's slot. An evicted entry already
+// has a record element and is moved in place; a new entry carries the
+// highest seq issued so far, so appending keeps the record in seq
+// order.
+func (d *Device) recordLoc(e Entry, st, slot int) {
+	rec := d.locator[e.Rank.RuleID]
+	if i := findSeq(rec, e.Rank.Seq); i < len(rec) && rec[i].seq == e.Rank.Seq {
+		rec[i].st, rec[i].slot = st, slot
+		return
+	}
+	d.locator[e.Rank.RuleID] = append(rec, entryLoc{seq: e.Rank.Seq, st: st, slot: slot})
+	d.entries++
+}
+
+// forgetLoc drops an entry that left the device without a delete (an
+// evicted entry that found no new home).
 func (d *Device) forgetLoc(e Entry) {
-	delete(d.locs, entryKey{e.Rank.RuleID, e.Rank.Seq})
+	rec := d.locator[e.Rank.RuleID]
+	i := findSeq(rec, e.Rank.Seq)
+	if i == len(rec) || rec[i].seq != e.Rank.Seq {
+		return
+	}
+	d.entries--
+	if rec = slices.Delete(rec, i, i+1); len(rec) == 0 {
+		delete(d.locator, e.Rank.RuleID)
+		return
+	}
+	d.locator[e.Rank.RuleID] = rec
 }
 
 // assignSubtable activates a fresh subtable whose interval slots in at
@@ -988,20 +1039,16 @@ func (d *Device) refreshMax(id int) {
 	d.maxOf[id] = r
 }
 
-// deleteEntry removes one entry (1 cycle). If the subtable max was
-// deleted the metadata max is re-derived; an emptied subtable returns
-// to the free pool.
-func (d *Device) deleteEntry(k entryKey) {
-	loc, ok := d.locs[k]
-	if !ok {
-		return
-	}
+// deleteEntry removes one entry (1 cycle); the caller drops its
+// locator record element. If the subtable max was deleted the metadata
+// max is re-derived; an emptied subtable returns to the free pool.
+func (d *Device) deleteEntry(loc entryLoc) {
 	st := d.subs[loc.st]
 	r, _ := st.Rank(loc.slot)
 	st.Delete(loc.slot)
 	d.dirty[loc.st] = true
 	d.trace.Step(flightrec.StepDelete, loc.st, loc.slot, ClassDelete.Cycles())
-	delete(d.locs, k)
+	d.entries--
 	d.stats.deletes.Add(1)
 	d.stats.updateCycles.Add(ClassDelete.Cycles())
 	if r == d.maxOf[loc.st] {
@@ -1109,6 +1156,10 @@ func (d *Device) globalInvariantLocked() error {
 			if !ok {
 				continue
 			}
+			rec := d.locator[r.RuleID]
+			if i := findSeq(rec, r.Seq); i == len(rec) || rec[i] != (entryLoc{seq: r.Seq, st: id, slot: slot}) {
+				return fmt.Errorf("core: subtable %d slot %d (rule %d seq %d) has no locator record", id, slot, r.RuleID, r.Seq)
+			}
 			if hasLower && !lower.Less(r) {
 				return fmt.Errorf("core: subtable %d rank %v below interval floor %v", id, r, lower)
 			}
@@ -1131,11 +1182,28 @@ func (d *Device) globalInvariantLocked() error {
 			}
 		}
 	}
-	for k, loc := range d.locs {
-		r, ok := d.subs[loc.st].Rank(loc.slot)
-		if !ok || r.RuleID != k.ruleID || r.Seq != k.seq {
-			return fmt.Errorf("core: locator desync for %+v", k)
+	located := 0
+	for ruleID, rec := range d.locator {
+		if len(rec) == 0 {
+			return fmt.Errorf("core: rule %d has an empty locator record", ruleID)
 		}
+		for i, l := range rec {
+			if i > 0 && rec[i-1].seq >= l.seq {
+				return fmt.Errorf("core: rule %d locator record out of seq order at %d", ruleID, i)
+			}
+			r, ok := d.subs[l.st].Rank(l.slot)
+			if !ok || r.RuleID != ruleID || r.Seq != l.seq {
+				return fmt.Errorf("core: locator desync for rule %d seq %d", ruleID, l.seq)
+			}
+		}
+		located += len(rec)
+	}
+	stored := 0
+	for _, id := range d.order {
+		stored += d.subs[id].Count()
+	}
+	if located != d.entries || stored != d.entries {
+		return fmt.Errorf("core: entry counter %d, locator holds %d, subtables hold %d", d.entries, located, stored)
 	}
 	return nil
 }

@@ -163,7 +163,7 @@ func (d *Device) publishLocked() {
 		order:   append([]int(nil), d.order...),
 		maxOf:   append([]Rank(nil), d.maxOf...),
 		subs:    make([]*subtableView, len(d.subs)),
-		count:   len(d.locs),
+		count:   d.entries,
 		aud:     d.aud,
 		shadow:  d.shadow,
 		tel:     d.tel,

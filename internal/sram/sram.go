@@ -110,12 +110,15 @@ func (s *Stats) Add(o Stats) {
 	s.EnergyFJ += o.EnergyFJ
 }
 
-// Array is the bit-matrix flavour used for priority matrices. Row i is a
-// bitvec of Cols bits.
+// Array is the bit-matrix flavour used for priority matrices. Row r
+// occupies words [r*rowWords, (r+1)*rowWords) of the flat rows slice,
+// bit c of the row at bit c%64 of word c/64 — the bitvec layout, so a
+// row hands to and from bitvec.Vector with one copy.
 type Array struct {
-	params Params
-	rows   []*bitvec.Vector //catcam:cycle-state
-	stats  Stats
+	params   Params
+	rowWords int
+	rows     []uint64 //catcam:cycle-state
+	stats    Stats
 }
 
 // NewArray returns a zeroed array with the given parameters.
@@ -123,12 +126,12 @@ func NewArray(p Params) *Array {
 	if p.Rows <= 0 || p.Cols <= 0 {
 		panic(fmt.Sprintf("sram: invalid dimensions %dx%d", p.Rows, p.Cols))
 	}
-	a := &Array{params: p, rows: make([]*bitvec.Vector, p.Rows)}
-	for i := range a.rows {
-		a.rows[i] = bitvec.New(p.Cols)
-	}
-	return a
+	rowWords := (p.Cols + 63) / 64
+	return &Array{params: p, rowWords: rowWords, rows: make([]uint64, p.Rows*rowWords)}
 }
+
+// row returns row r's words.
+func (a *Array) row(r int) []uint64 { return a.rows[r*a.rowWords : (r+1)*a.rowWords] }
 
 // Params returns the array's physical parameters.
 func (a *Array) Params() Params { return a.params }
@@ -157,7 +160,7 @@ func (a *Array) ReadRow(r int) *bitvec.Vector {
 	a.stats.Cycles++
 	a.stats.RowReads++
 	a.stats.EnergyFJ += a.params.ReadEnergyPJ * 1000
-	return a.rows[r].Copy()
+	return bitvec.New(a.params.Cols).LoadWords(a.row(r))
 }
 
 // WriteRow overwrites row r. One cycle, one row-write energy. This is
@@ -171,7 +174,7 @@ func (a *Array) WriteRow(r int, v *bitvec.Vector) {
 	a.stats.Cycles++
 	a.stats.RowWrites++
 	a.stats.EnergyFJ += a.params.WriteEnergyPJ * 1000
-	a.rows[r].CopyFrom(v)
+	copy(a.row(r), v.Words())
 }
 
 // WriteColumn writes column c across all rows using the dual-voltage
@@ -186,9 +189,7 @@ func (a *Array) WriteColumn(c int, v *bitvec.Vector) {
 	a.stats.Cycles += 2
 	a.stats.ColWrites++
 	a.stats.EnergyFJ += 2 * a.params.WriteEnergyPJ * 1000
-	for r := 0; r < a.params.Rows; r++ {
-		a.rows[r].SetBool(c, v.Get(r))
-	}
+	a.depositColumn(c, v)
 }
 
 // WriteColumnRowwise is the ablation path a conventional SRAM would be
@@ -203,8 +204,23 @@ func (a *Array) WriteColumnRowwise(c int, v *bitvec.Vector) {
 	a.stats.Cycles += uint64(a.params.Rows)
 	a.stats.RowWrites += uint64(a.params.Rows)
 	a.stats.EnergyFJ += float64(a.params.Rows) * a.params.WriteEnergyPJ * 1000
-	for r := 0; r < a.params.Rows; r++ {
-		a.rows[r].SetBool(c, v.Get(r))
+	a.depositColumn(c, v)
+}
+
+// depositColumn sets bit c of every row r to bit r of v with one
+// masked read-modify-write of the row's word, reading v a word at a
+// time. The callers account the modeled cost.
+//
+//catcam:allow cycles "host half of WriteColumn/WriteColumnRowwise, which account the modeled cycles"
+func (a *Array) depositColumn(c int, v *bitvec.Vector) {
+	shift := uint(c % 64)
+	bit := uint64(1) << shift
+	for wi, w := range v.Words() {
+		rows := a.rows[wi*64*a.rowWords+c/64:]
+		for r := 0; r < min(64, a.params.Rows-wi*64); r++ {
+			i := r * a.rowWords
+			rows[i] = rows[i]&^bit | (w>>uint(r)&1)<<shift
+		}
 	}
 }
 
@@ -213,7 +229,7 @@ func (a *Array) WriteColumnRowwise(c int, v *bitvec.Vector) {
 func (a *Array) Bit(r, c int) bool {
 	a.checkRow(r)
 	a.checkCol(c)
-	return a.rows[r].Get(c)
+	return a.rows[r*a.rowWords+c/64]>>uint(c%64)&1 != 0
 }
 
 // ColumnNOR performs the in-memory priority decision: the read word-line
@@ -252,7 +268,7 @@ func (a *Array) ColumnNORInto(dst, active *bitvec.Vector) *bitvec.Vector {
 	for wi, w := range active.Words() {
 		for w != 0 {
 			r := wi*64 + bits.TrailingZeros64(w)
-			dst.AndNot(a.rows[r])
+			dst.AndNotWords(a.row(r))
 			w &= w - 1
 		}
 	}

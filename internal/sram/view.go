@@ -169,12 +169,7 @@ func (a *Array) SnapshotView() *MatrixView {
 	if a.params.Rows != a.params.Cols {
 		panic("sram: MatrixView requires a square array")
 	}
-	rowWords := (a.params.Cols + 63) / 64
-	v := &MatrixView{params: a.params, rowWords: rowWords, rows: make([]uint64, a.params.Rows*rowWords)}
-	for r, row := range a.rows {
-		copy(v.rows[r*rowWords:(r+1)*rowWords], row.Words())
-	}
-	return v
+	return &MatrixView{params: a.params, rowWords: a.rowWords, rows: append([]uint64(nil), a.rows...)}
 }
 
 // Rows returns the matrix dimension.

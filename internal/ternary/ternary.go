@@ -329,15 +329,32 @@ func (w Word) Copy() Word {
 
 // Slot writes word o into positions [off, off+o.width) of w (0 = most
 // significant), used to concatenate per-field encodings into one search
-// word. It panics if o does not fit.
+// word. It panics if o does not fit. The copy is word-wise: o's planes
+// land as one shifted bit field in each of w's.
 //
 //catcam:mutator
 func (w *Word) Slot(off int, o Word) {
 	if off < 0 || off+o.width > w.width {
 		panic(fmt.Sprintf("ternary: slot [%d,%d) outside width %d", off, off+o.width, w.width))
 	}
-	for i := 0; i < o.width; i++ {
-		w.SetBit(off+i, o.BitAt(i))
+	// Storage position of the field's least significant bit.
+	lo := w.width - off - o.width
+	for i := 0; i < len(o.value); i++ {
+		n := min(o.width-i*wordBits, wordBits)
+		mask := ^uint64(0) >> uint(wordBits-n)
+		depositField(w.care, lo+i*wordBits, mask, o.care[i]&mask)
+		depositField(w.value, lo+i*wordBits, mask, o.value[i]&mask)
+	}
+}
+
+// depositField overwrites the bits of ws under mask, shifted up to
+// storage position pos, with v (already confined to mask). The field
+// may straddle two words.
+func depositField(ws []uint64, pos int, mask, v uint64) {
+	wi, sh := pos/wordBits, uint(pos%wordBits)
+	ws[wi] = ws[wi]&^(mask<<sh) | v<<sh
+	if drop := wordBits - sh; mask>>drop != 0 {
+		ws[wi+1] = ws[wi+1]&^(mask>>drop) | v>>drop
 	}
 }
 
@@ -392,15 +409,7 @@ func (k *Key) SetUint(off, width int, v uint64) {
 		panic(fmt.Sprintf("ternary: set-uint [%d,%d) outside width %d", off, off+width, k.width))
 	}
 	mask := ^uint64(0) >> uint(64-width)
-	v &= mask
-	// Storage position of the field's least significant bit.
-	lo := k.width - off - width
-	wi, sh := lo/wordBits, uint(lo%wordBits)
-	k.bits[wi] = k.bits[wi]&^(mask<<sh) | v<<sh
-	if spill := uint(width) + sh; spill > wordBits {
-		drop := uint(wordBits) - sh
-		k.bits[wi+1] = k.bits[wi+1]&^(mask>>drop) | v>>drop
-	}
+	depositField(k.bits, k.width-off-width, mask, v&mask)
 }
 
 // Extract returns the sub-word at positions [off, off+width).
